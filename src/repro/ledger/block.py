@@ -108,13 +108,7 @@ def make_genesis_block(
             nonce=index,
         )
         transactions.append(transaction)
-        utxos.append(
-            UTXO(
-                utxo_id=transaction.output_utxo_id(0),
-                account=account,
-                amount=amount,
-            )
-        )
+        utxos.append(transaction.output_utxos()[0])
     block = Block(
         index=0,
         parent_hash=GENESIS_PARENT,

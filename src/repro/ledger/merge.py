@@ -494,19 +494,12 @@ class BlockchainRecord:
                 outcome.refunded_amount += amount
                 outcome.realized_gain += amount
                 self.realized_attack_gain += amount
-        for index, tx_output in enumerate(transaction.outputs):
-            utxo_id = transaction.output_utxo_id(index)
+        for utxo in transaction.output_utxos():
             # Outputs have positive amounts by shape validation, so the
             # membership test here licenses the unchecked insert.
-            if not utxos_contains(utxo_id):
-                utxos._insert(
-                    UTXO(
-                        utxo_id=utxo_id,
-                        account=tx_output.account,
-                        amount=tx_output.amount,
-                    )
-                )
-                created_ids.append(utxo_id)
+            if not utxos_contains(utxo.utxo_id):
+                utxos._insert(utxo)
+                created_ids.append(utxo.utxo_id)
         self.known_tx_ids.add(transaction.tx_id)
 
     def _refund_inputs(self, outcome: MergeOutcome, consumed: List[UTXO]) -> None:

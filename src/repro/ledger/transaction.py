@@ -10,7 +10,7 @@ benchmarks with), which :func:`Transaction.wire_size` models.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import InvalidTransactionError
 from repro.crypto.hashing import hash_payload
@@ -21,6 +21,9 @@ from repro.ledger.wallet import (
     address_matches_material,
     verify_wallet_signature,
 )
+
+if TYPE_CHECKING:
+    from repro.ledger.utxo import UTXO
 
 #: The paper benchmarks with ~400-byte Bitcoin transactions (§5).
 PAPER_TX_SIZE_BYTES = 400
@@ -87,6 +90,11 @@ class Transaction:
         default=None, init=False, repr=False, compare=False
     )
     _canonical: Optional[bytes] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Memoised output UTXOs (immutable, so records share them): every
+    #: replica's record creates the same outputs, on append and on merge.
+    _output_utxos: Optional[Tuple["UTXO", ...]] = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
     #: Memoised full-verification outcome, fingerprinted by the signature and
@@ -158,9 +166,23 @@ class Transaction:
         """Sum of the values of all produced outputs."""
         return sum(tx_output.amount for tx_output in self.outputs)
 
+    def output_utxos(self) -> Tuple["UTXO", ...]:
+        """The UTXOs this transaction creates once it commits (memoised)."""
+        created = self._output_utxos
+        if created is None:
+            from repro.ledger.utxo import UTXO
+
+            tx_id = self.tx_id
+            created = tuple(
+                UTXO(f"{tx_id}:{index}", tx_output.account, tx_output.amount)
+                for index, tx_output in enumerate(self.outputs)
+            )
+            self._output_utxos = created
+        return created
+
     def output_utxo_id(self, index: int) -> str:
         """Identifier of the ``index``-th output once this transaction commits."""
-        return f"{self.tx_id}:{index}"
+        return self.output_utxos()[index].utxo_id
 
     def wire_size(self) -> int:
         """Approximate serialised size, floored at the paper's 400 bytes."""

@@ -194,15 +194,9 @@ class UTXOTable:
         with pre-validated transactions.
         """
         consumed = [self.remove(tx_input.utxo_id) for tx_input in transaction.inputs]
-        created: List[UTXO] = []
-        for index, tx_output in enumerate(transaction.outputs):
-            utxo = UTXO(
-                utxo_id=transaction.output_utxo_id(index),
-                account=tx_output.account,
-                amount=tx_output.amount,
-            )
+        created = list(transaction.output_utxos())
+        for utxo in created:
             self.add(utxo)
-            created.append(utxo)
         return consumed, created
 
     def total_supply(self) -> int:
@@ -322,15 +316,9 @@ class UTXOView:
         _check_inputs_against_state(self, transaction)
         for tx_input in transaction.inputs:
             self.remove(tx_input.utxo_id)
-        created: List[UTXO] = []
-        for index, tx_output in enumerate(transaction.outputs):
-            utxo = UTXO(
-                utxo_id=transaction.output_utxo_id(index),
-                account=tx_output.account,
-                amount=tx_output.amount,
-            )
+        created = list(transaction.output_utxos())
+        for utxo in created:
             self.add(utxo)
-            created.append(utxo)
         return created
 
     def overlay(self) -> "UTXOView":

@@ -5,9 +5,12 @@ Transport` surface as the discrete-event simulator, but over real I/O:
 
 * **Sockets** — TCP or UNIX-domain stream sockets between OS processes (one
   listening endpoint per replica, one outgoing connection per peer).
-* **Frames** — every envelope is encoded by :mod:`repro.network.codec` and
-  written as a 4-byte big-endian length prefix plus payload; readers rebuild
-  :class:`~repro.network.message.Message` objects on the far side.
+* **Frames** — every envelope is encoded once by :mod:`repro.network.codec`
+  and written as a 4-byte big-endian length prefix plus payload; readers
+  rebuild :class:`~repro.network.message.Message` objects on the far side
+  through the transport's own :class:`~repro.network.codec.DecodeCache`, so
+  an object record that arrives in many frames is decoded once and shared.
+  A frame that does not decode is dropped and counted; the link stays up.
 * **Time** — ``now`` is the event loop's monotonic wall clock and timers are
   ``loop.call_later`` handles, so protocol timeouts are real seconds.
 
@@ -16,7 +19,7 @@ this transport runs the exact same ASMR/SBC/RBC stack it runs inside the
 simulator.  Delivery stays single-threaded (everything happens on the event
 loop), so the by-reference sharing assumptions *within* one process still
 hold; across processes the codec produces equal, independently-verifiable
-copies.
+copies, one per receiving transport.
 
 The observability seam mirrors the simulator's, across process boundaries:
 a bound tracing runtime stamps the active :class:`~repro.tracing.core
@@ -47,6 +50,7 @@ from repro.network.codec import (
     FRAME_HEADER_SIZE,
     MAX_FRAME_BYTES,
     CodecError,
+    DecodeCache,
     decode_message,
     frame_message,
 )
@@ -129,6 +133,7 @@ class AsyncioTransport(Transport):
         self._timers: Dict[int, asyncio.TimerHandle] = {}
         self._started = False
         self._closed = False
+        self._decode_cache = DecodeCache()
         # Observability counters (same meaning as the simulator's).
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -275,6 +280,7 @@ class AsyncioTransport(Transport):
             return
         self._closed = True
         self._pending.clear()
+        self._decode_cache.clear()
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
@@ -293,9 +299,24 @@ class AsyncioTransport(Transport):
 
     # -- sending -------------------------------------------------------------
 
-    def _count_sent(self, message: Message, count: int) -> None:
+    def _count_sent(
+        self, message: Message, count: int, remote: bool
+    ) -> Optional[bytes]:
+        """Count ``count`` sent copies; return the socket frame if ``remote``.
+
+        The frame is built before ``size_bytes`` is read, so the one encode
+        of the envelope happens inside ``frame_message`` and the byte count
+        reuses it.
+        """
+        tracing = self.tracing
+        if tracing is not None:
+            # Stamps the active trace context onto the envelope (the codec
+            # then carries it across the socket) and records the send.
+            tracing.on_send(message, self.now)
+        frame = frame_message(message) if remote else None
+        size = message.size_bytes() * count
         self.messages_sent += count
-        self.bytes_sent += message.size_bytes() * count
+        self.bytes_sent += size
         telemetry = self.telemetry
         if telemetry is not None:
             group = protocol_group(message.topic)
@@ -304,15 +325,11 @@ class AsyncioTransport(Transport):
             ).inc(count)
             telemetry.counter(
                 "net.bytes_sent", protocol=group, kind=message.kind
-            ).inc(message.size_bytes() * count)
-        tracing = self.tracing
-        if tracing is not None:
-            # Stamps the active trace context onto the envelope (the codec
-            # then carries it across the socket) and records the send.
-            tracing.on_send(message, self.now)
+            ).inc(size)
         obs = self.obs
         if obs is not None:
             obs.sampler.count_message(protocol_group(message.topic), count)
+        return frame
 
     def _count_dropped(self, count: int = 1) -> None:
         self.messages_dropped += count
@@ -367,19 +384,21 @@ class AsyncioTransport(Transport):
 
     def submit(self, message: Message) -> None:
         """Send a point-to-point message (local loopback or socket frame)."""
-        self._count_sent(message, 1)
-        if (
+        dropped = (
             message.sender in self._disconnected
             or message.recipient in self._disconnected
-        ):
+        )
+        local = message.recipient in self._processes
+        frame = self._count_sent(message, 1, remote=not (dropped or local))
+        if dropped:
             self._count_dropped()
             return
-        if message.recipient in self._processes:
+        if local:
             # Local delivery stays asynchronous (never re-entrant from send),
             # matching the simulator's queue semantics.
             self._require_loop().call_soon(self._deliver_local, message)
             return
-        if not self._write_frame(message.recipient, frame_message(message)):
+        if not self._write_frame(message.recipient, frame):
             self._count_dropped()
 
     def submit_broadcast(self, message: Message, targets: Sequence[ReplicaId]) -> None:
@@ -392,21 +411,24 @@ class AsyncioTransport(Transport):
         count = len(targets)
         if count == 0:
             return
-        self._count_sent(message, count)
-        if message.sender in self._disconnected:
+        disconnected = self._disconnected
+        silenced = message.sender in disconnected
+        remote = not silenced and any(
+            target not in self._processes and target not in disconnected
+            for target in targets
+        )
+        frame = self._count_sent(message, count, remote)
+        if silenced:
             self._count_dropped(count)
             return
-        frame: Optional[bytes] = None
         loop = self._require_loop()
         for target in targets:
-            if target in self._disconnected:
+            if target in disconnected:
                 self._count_dropped()
                 continue
             if target in self._processes:
                 loop.call_soon(self._deliver_local, message.with_recipient(target))
                 continue
-            if frame is None:
-                frame = frame_message(message)
             if not self._write_frame(target, frame):
                 self._count_dropped()
 
@@ -431,10 +453,13 @@ class AsyncioTransport(Transport):
                     break
                 payload = await reader.readexactly(length)
                 try:
-                    message = decode_message(payload)
-                except CodecError:
-                    log.exception(
-                        "replica %s received an undecodable frame", self.replica_id
+                    message = decode_message(payload, cache=self._decode_cache)
+                except CodecError as exc:
+                    # Drop and count the frame; the link stays up.
+                    log.warning(
+                        "replica %s dropping an undecodable frame: %s",
+                        self.replica_id,
+                        exc,
                     )
                     self._count_dropped()
                     continue

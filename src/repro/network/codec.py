@@ -20,18 +20,36 @@ by ``;``::
     S<len>;<utf8>     str           B<len>;<raw>   bytes
     L<count>;<v>*     list          P<count>;<v>*  tuple
     D<count>;(<k><v>)*  dict (insertion order, any encodable key)
-    O<name><payload>  registered object (name is an encoded str)
+    O<name-len>;<name><payload-len>;<payload>
+                      registered object: ASCII wire name, then its encoded
+                      payload, both length-prefixed
+
+An object record declares its own byte span, so a decoder finds the end of a
+record without walking it; a payload whose decoded span disagrees with its
+declared length is corrupt.  Decoding is total over hostile input: any
+malformed buffer — truncated, wrongly shaped for its kind, or nested deeper
+than :data:`MAX_DEPTH` — raises :class:`CodecError` and nothing else.
 
 Deterministic by construction: the same value always encodes to the same
 bytes within a process (dicts keep insertion order — protocol bodies are
 built deterministically), so content digests of encoded frames are stable.
 
+Decode once: a :class:`DecodeCache` (one per asyncio transport) maps the exact
+bytes of each top-level object record to the object it decoded to, so a
+transaction that arrives in ten frames (INIT, ECHOs, READYs, CONFIRMs) is
+decoded once and every frame carries the *same* object — its memoised id,
+canonical bytes and validity survive, as they do under the simulator's
+by-reference delivery.  The key is the whole record, so a peer cannot make
+a record decode to anything but what its own bytes say.  Encode once: an
+object that came out of a cache re-encodes as the record it was decoded from.
+
 Framing for stream transports: :func:`frame_message` prefixes the encoded
 envelope with a 4-byte big-endian length; :data:`FRAME_HEADER_SIZE` is what a
-reader must consume first.  :meth:`Message.size_bytes` reports exactly
-``len(frame_message(message))`` of the *bare* envelope so byte counters in
-telemetry mean the same thing under the simulator and the asyncio backend,
-with tracing enabled or not.
+reader must consume first.  The bare envelope is encoded once per message and
+memoised on it, so :meth:`Message.size_bytes` (exactly ``len(frame_message
+(message))`` of the *bare* envelope) and the frames a broadcast writes share
+one encode.  Byte counters in telemetry mean the same thing under the
+simulator and the asyncio backend, with tracing enabled or not.
 
 Trace propagation: a message whose ``trace_ctx`` is set encodes as a 6-tuple
 whose last element is the ``(trace_id, span_id)`` pair, so causality survives
@@ -44,8 +62,9 @@ unchanged.
 
 from __future__ import annotations
 
+import collections
 import struct
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.network.message import Message
 from repro.network.topic import Topic
@@ -56,6 +75,15 @@ FRAME_HEADER_SIZE = 4
 #: Upper bound on a single frame (sanity check against corrupt prefixes).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Deepest container/object nesting a decoder accepts.  Protocol bodies nest
+#: about ten levels; the bound keeps a hostile frame far from the
+#: interpreter's recursion limit.
+MAX_DEPTH = 64
+
+#: Bounds of one :class:`DecodeCache`: records kept, and their total bytes.
+DECODE_CACHE_ENTRIES = 4096
+DECODE_CACHE_BYTES = 8 * 1024 * 1024
+
 
 class CodecError(ValueError):
     """Raised when a value cannot be encoded or a buffer cannot be decoded."""
@@ -63,10 +91,10 @@ class CodecError(ValueError):
 
 # -- object registry ---------------------------------------------------------
 
-#: type -> (wire name, to-encodable converter).
-_TO_WIRE: Dict[Type[Any], Tuple[str, Callable[[Any], Any]]] = {}
-#: wire name -> from-encodable constructor.
-_FROM_WIRE: Dict[str, Callable[[Any], Any]] = {}
+#: type -> (record head ``O<name-len>;<name>``, to-encodable converter).
+_TO_WIRE: Dict[Type[Any], Tuple[bytes, Callable[[Any], Any]]] = {}
+#: ASCII wire name -> from-encodable constructor.
+_FROM_WIRE: Dict[bytes, Callable[[Any], Any]] = {}
 
 
 def register_object(
@@ -80,16 +108,99 @@ def register_object(
     ``encode`` maps an instance to an encodable value (typically a payload
     dict); ``decode`` inverts it.  Registration is idempotent per name.
     """
-    _TO_WIRE[cls] = (name, encode)
-    _FROM_WIRE[name] = decode
+    raw = name.encode("ascii")
+    _TO_WIRE[cls] = (b"O%d;%s" % (len(raw), raw), encode)
+    _FROM_WIRE[raw] = decode
 
 
 def registered_kinds() -> List[str]:
     """Wire names of every registered object type (for tests/introspection)."""
-    return sorted(_FROM_WIRE)
+    return sorted(name.decode("ascii") for name in _FROM_WIRE)
+
+
+# -- decode cache and encode memo --------------------------------------------
+
+#: Identity-keyed memo: object -> the record it was decoded from, for every
+#: object held by a :class:`DecodeCache`.  Entries pin the object, which keeps
+#: its ``id()`` unique while the entry lives.  A cache drops its entries when
+#: it evicts or clears; clear-on-cap bounds caches nobody cleared.
+_RECORDS: Dict[int, Tuple[Any, bytes]] = {}
+_RECORDS_MAX = 4 * DECODE_CACHE_ENTRIES
+
+
+def _forget(value: Any) -> None:
+    hit = _RECORDS.get(id(value))
+    if hit is not None and hit[0] is value:
+        del _RECORDS[id(value)]
+
+
+class DecodeCache:
+    """Bounded, content-addressed cache of decoded object records.
+
+    Keys are the exact bytes of a top-level ``O`` record, so a hit returns
+    the very object an identical record decoded to before, and records that
+    differ in any byte never share an object.  Oldest records are evicted
+    first once either bound — :data:`DECODE_CACHE_ENTRIES` records or
+    :data:`DECODE_CACHE_BYTES` bytes of records — would be exceeded.
+    """
+
+    __slots__ = ("size", "_objects")
+
+    def __init__(self) -> None:
+        #: Total bytes of the cached records.
+        self.size = 0
+        self._objects: "collections.OrderedDict[bytes, Any]" = collections.OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._objects)
+
+    def clear(self) -> None:
+        for value in self._objects.values():
+            _forget(value)
+        self._objects.clear()
+        self.size = 0
+
+    def get(self, record: bytes) -> Any:
+        return self._objects.get(record, _MISSING)
+
+    def put(self, record: bytes, value: Any) -> None:
+        size = len(record)
+        if size > DECODE_CACHE_BYTES:
+            return
+        objects = self._objects
+        while objects and (
+            len(objects) >= DECODE_CACHE_ENTRIES
+            or self.size + size > DECODE_CACHE_BYTES
+        ):
+            evicted, old = objects.popitem(last=False)
+            self.size -= len(evicted)
+            _forget(old)
+        objects[record] = value
+        self.size += size
+        if len(_RECORDS) >= _RECORDS_MAX:
+            _RECORDS.clear()
+        _RECORDS[id(value)] = (value, record)
+
+
+_MISSING = object()
 
 
 # -- encoding ----------------------------------------------------------------
+
+
+def _encode_object(
+    value: Any, head: bytes, encode: Callable[[Any], Any], out: List[bytes]
+) -> None:
+    hit = _RECORDS.get(id(value))
+    if hit is not None and hit[0] is value:
+        out.append(hit[1])
+        return
+    inner: List[bytes] = []
+    _encode_into(encode(value), inner)
+    payload = b"".join(inner)
+    out.append(head)
+    out.append(b"%d;" % len(payload))
+    out.append(payload)
 
 
 def _encode_into(value: Any, out: List[bytes]) -> None:
@@ -97,33 +208,13 @@ def _encode_into(value: Any, out: List[bytes]) -> None:
         out.append(b"N")
         return
     kind = type(value)
-    if kind is bool:
-        out.append(b"T" if value else b"F")
-        return
-    if kind is int:
-        out.append(b"I%d;" % value)
-        return
-    if kind is float:
-        out.append(b"R" + struct.pack(">d", value))
-        return
     if kind is str:
         raw = value.encode("utf-8")
         out.append(b"S%d;" % len(raw))
         out.append(raw)
         return
-    if kind is bytes:
-        out.append(b"B%d;" % len(value))
-        out.append(value)
-        return
-    if kind is list:
-        out.append(b"L%d;" % len(value))
-        for item in value:
-            _encode_into(item, out)
-        return
-    if kind is tuple:
-        out.append(b"P%d;" % len(value))
-        for item in value:
-            _encode_into(item, out)
+    if kind is int:
+        out.append(b"I%d;" % value)
         return
     if kind is dict:
         out.append(b"D%d;" % len(value))
@@ -131,24 +222,34 @@ def _encode_into(value: Any, out: List[bytes]) -> None:
             _encode_into(key, out)
             _encode_into(item, out)
         return
+    if kind is list:
+        out.append(b"L%d;" % len(value))
+        for item in value:
+            _encode_into(item, out)
+        return
+    if kind is bool:
+        out.append(b"T" if value else b"F")
+        return
+    if kind is bytes:
+        out.append(b"B%d;" % len(value))
+        out.append(value)
+        return
+    if kind is tuple:
+        out.append(b"P%d;" % len(value))
+        for item in value:
+            _encode_into(item, out)
+        return
+    if kind is float:
+        out.append(b"R" + struct.pack(">d", value))
+        return
     registered = _TO_WIRE.get(kind)
     if registered is not None:
-        name, encode = registered
-        out.append(b"O")
-        raw = name.encode("ascii")
-        out.append(b"S%d;" % len(raw))
-        out.append(raw)
-        _encode_into(encode(value), out)
+        _encode_object(value, registered[0], registered[1], out)
         return
-    # Subclasses of registered types (rare) and exotic ints/strs fall through
-    # to an exact-type retry before giving up.
-    for base, (name, encode) in _TO_WIRE.items():
+    # Subclasses of registered types (rare) fall back to an isinstance scan.
+    for base, (head, encode) in _TO_WIRE.items():
         if isinstance(value, base):
-            out.append(b"O")
-            raw = name.encode("ascii")
-            out.append(b"S%d;" % len(raw))
-            out.append(raw)
-            _encode_into(encode(value), out)
+            _encode_object(value, head, encode, out)
             return
     raise CodecError(f"cannot encode value of type {kind.__name__}: {value!r}")
 
@@ -162,76 +263,130 @@ def encode_value(value: Any) -> bytes:
 
 # -- decoding ----------------------------------------------------------------
 
+_TAG_N, _TAG_T, _TAG_F, _TAG_I, _TAG_R, _TAG_S = b"NTFIRS"
+_TAG_B, _TAG_L, _TAG_P, _TAG_D, _TAG_O = b"BLPDO"
+
 
 def _read_length(data: bytes, pos: int) -> Tuple[int, int]:
     end = data.index(b";", pos)
-    return int(data[pos:end]), end + 1
+    length = int(data[pos:end])
+    if length < 0:
+        raise CodecError(f"negative length at offset {pos}")
+    return length, end + 1
 
 
-def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
-    tag = data[pos : pos + 1]
+def _decode_at(
+    data: bytes, pos: int, depth: int, cache: Optional[DecodeCache]
+) -> Tuple[Any, int]:
+    tag = data[pos]
     pos += 1
-    if tag == b"N":
-        return None, pos
-    if tag == b"T":
-        return True, pos
-    if tag == b"F":
-        return False, pos
-    if tag == b"I":
+    # A string or bytes value that overruns the buffer is caught by the
+    # enclosing record's span check or decode_value's final length check.
+    if tag == _TAG_S:
+        length, pos = _read_length(data, pos)
+        end = pos + length
+        return data[pos:end].decode("utf-8"), end
+    if tag == _TAG_I:
         end = data.index(b";", pos)
         return int(data[pos:end]), end + 1
-    if tag == b"R":
-        return struct.unpack(">d", data[pos : pos + 8])[0], pos + 8
-    if tag == b"S":
-        length, pos = _read_length(data, pos)
-        return data[pos : pos + length].decode("utf-8"), pos + length
-    if tag == b"B":
-        length, pos = _read_length(data, pos)
-        return data[pos : pos + length], pos + length
-    if tag == b"L":
-        count, pos = _read_length(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_at(data, pos)
-            items.append(item)
-        return items, pos
-    if tag == b"P":
-        count, pos = _read_length(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_at(data, pos)
-            items.append(item)
-        return tuple(items), pos
-    if tag == b"D":
+    if tag == _TAG_N:
+        return None, pos
+    if depth >= MAX_DEPTH and tag in b"LPDO":
+        raise CodecError(f"wire value nested deeper than {MAX_DEPTH}")
+    if tag == _TAG_D:
         count, pos = _read_length(data, pos)
         mapping: Dict[Any, Any] = {}
+        depth += 1
         for _ in range(count):
-            key, pos = _decode_at(data, pos)
-            value, pos = _decode_at(data, pos)
-            mapping[key] = value
+            key, pos = _decode_at(data, pos, depth, cache)
+            mapping[key], pos = _decode_at(data, pos, depth, cache)
         return mapping, pos
-    if tag == b"O":
-        name, pos = _decode_at(data, pos)
-        payload, pos = _decode_at(data, pos)
+    if tag == _TAG_L or tag == _TAG_P:
+        count, pos = _read_length(data, pos)
+        items = []
+        depth += 1
+        for _ in range(count):
+            item, pos = _decode_at(data, pos, depth, cache)
+            items.append(item)
+        return (items if tag == _TAG_L else tuple(items)), pos
+    if tag == _TAG_O:
+        start = pos - 1
+        length, pos = _read_length(data, pos)
+        name = data[pos : pos + length]
         decode = _FROM_WIRE.get(name)
         if decode is None:
             raise CodecError(f"unknown wire object kind {name!r}")
-        return decode(payload), pos
+        length, pos = _read_length(data, pos + length)
+        end = pos + length
+        if end > len(data):
+            raise CodecError(f"{name!r} record overruns its buffer")
+        if cache is not None:
+            record = data[start:end]
+            value = cache.get(record)
+            if value is not _MISSING:
+                return value, end
+        # Records nested in a record are decoded with it, not cached apart.
+        payload, stop = _decode_at(data, pos, depth + 1, None)
+        if stop != end:
+            raise CodecError(
+                f"{name!r} record declares {length} payload bytes, holds {stop - pos}"
+            )
+        value = decode(payload)
+        if cache is not None:
+            cache.put(record, value)
+        return value, end
+    if tag == _TAG_B:
+        length, pos = _read_length(data, pos)
+        end = pos + length
+        return data[pos:end], end
+    if tag == _TAG_T:
+        return True, pos
+    if tag == _TAG_F:
+        return False, pos
+    if tag == _TAG_R:
+        return struct.unpack_from(">d", data, pos)[0], pos + 8
     raise CodecError(f"unknown wire tag {tag!r} at offset {pos - 1}")
 
 
-def decode_value(data: bytes) -> Any:
-    """Decode bytes produced by :func:`encode_value`."""
+def decode_value(data: bytes, cache: Optional[DecodeCache] = None) -> Any:
+    """Decode bytes produced by :func:`encode_value`.
+
+    With a ``cache``, top-level object records found in the cache decode to
+    the cached object, and new ones are added to it.  Any malformed input
+    raises :class:`CodecError`.
+    """
     try:
-        value, pos = _decode_at(data, 0)
-    except (IndexError, ValueError, struct.error) as exc:
-        raise CodecError(f"truncated or corrupt wire value: {exc}") from exc
+        value, pos = _decode_at(data, 0, 0, cache)
+    except CodecError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - hostile input boundary
+        # Registered constructors fail on wrong-shaped payloads in many ways
+        # (KeyError, TypeError, AttributeError, ...); callers handle only
+        # CodecError, and any other exception would end a peer's reader.
+        raise CodecError(f"corrupt wire value: {exc!r}") from exc
     if pos != len(data):
-        raise CodecError(f"{len(data) - pos} trailing bytes after wire value")
+        raise CodecError(f"wire value spans {pos} bytes of a {len(data)}-byte buffer")
     return value
 
 
 # -- message envelopes -------------------------------------------------------
+
+
+def _bare_envelope(message: Message) -> bytes:
+    """The untraced 5-tuple envelope, encoded once and memoised on the message."""
+    wire = message._wire
+    if wire is None:
+        wire = encode_value(
+            (
+                message.sender,
+                message.recipient,
+                message.topic.canonical,
+                message.kind,
+                message.body,
+            )
+        )
+        message._wire = wire
+    return wire
 
 
 def encode_message(message: Message, include_trace: bool = True) -> bytes:
@@ -239,43 +394,48 @@ def encode_message(message: Message, include_trace: bool = True) -> bytes:
 
     A set ``trace_ctx`` rides as a sixth ``(trace_id, span_id)`` element when
     ``include_trace`` is true; without a context the envelope is the original
-    5-tuple, byte for byte.
+    5-tuple, byte for byte.  The 5-tuple is memoised on the message (bodies
+    are immutable once sent); the traced form re-heads it as a 6-tuple.
     """
-    fields: Tuple[Any, ...] = (
-        message.sender,
-        message.recipient,
-        message.topic.canonical,
-        message.kind,
-        message.body,
-    )
+    wire = _bare_envelope(message)
     ctx = message.trace_ctx if include_trace else None
-    if ctx is not None:
-        fields = fields + ((ctx.trace_id, ctx.span_id),)
-    return encode_value(fields)
+    if ctx is None:
+        return wire
+    return b"P6;" + wire[3:] + encode_value((ctx.trace_id, ctx.span_id))
 
 
-def decode_message(data: bytes) -> Message:
+def decode_message(data: bytes, cache: Optional[DecodeCache] = None) -> Message:
     """Rebuild a :class:`Message` from :func:`encode_message` bytes.
 
     The decoded envelope gets a fresh local ``uid`` (uids are process-local
     tie-breakers, not wire identity).  Both envelope shapes decode: the bare
     5-tuple and the traced 6-tuple, whose ``(trace_id, span_id)`` tail is
-    restored as the message's ``trace_ctx``.
+    restored as the message's ``trace_ctx``.  ``cache`` is passed to
+    :func:`decode_value`.  An envelope of the wrong shape raises
+    :class:`CodecError`.
     """
-    fields = decode_value(data)
-    if not isinstance(fields, tuple) or len(fields) not in (5, 6):
+    fields = decode_value(data, cache)
+    if type(fields) is not tuple or len(fields) not in (5, 6):
         raise CodecError("wire envelope is not a 5- or 6-tuple")
     sender, recipient, topic_text, kind, body = fields[:5]
+    if (
+        type(sender) is not int
+        or (recipient is not None and type(recipient) is not int)
+        or type(topic_text) is not str
+        or type(kind) is not str
+        or type(body) is not dict
+    ):
+        raise CodecError("wire envelope fields have the wrong types")
+    try:
+        topic = Topic.parse(topic_text)
+    except ValueError as exc:
+        raise CodecError(f"bad wire topic {topic_text!r}") from exc
     message = Message(
-        sender=sender,
-        recipient=recipient,
-        protocol=Topic.parse(topic_text),
-        kind=kind,
-        body=body,
+        sender=sender, recipient=recipient, protocol=topic, kind=kind, body=body
     )
     if len(fields) == 6 and fields[5] is not None:
         wire_ctx = fields[5]
-        if not isinstance(wire_ctx, tuple) or len(wire_ctx) != 2:
+        if type(wire_ctx) is not tuple or len(wire_ctx) != 2:
             raise CodecError("wire trace context is not a (trace, span) pair")
         from repro.tracing.core import TraceContext
 
@@ -300,7 +460,7 @@ def message_frame_size(message: Message) -> int:
     fixed-seed byte-identity with tracing on/off depends on it.  The traced
     frame a socket actually writes is a handful of bytes longer.
     """
-    return FRAME_HEADER_SIZE + len(encode_message(message, include_trace=False))
+    return FRAME_HEADER_SIZE + len(_bare_envelope(message))
 
 
 # -- standard registrations --------------------------------------------------

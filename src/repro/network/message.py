@@ -9,8 +9,12 @@ accountability can later re-verify it independently of the envelope.
 
 Broadcasts share **one** envelope across all recipients (the simulator fills
 in ``recipient`` as each delivery pops); bodies are shared too and treated as
-immutable once sent.  The envelope memoises its estimated wire size so
-telemetry-enabled runs never re-walk a body dictionary twice.
+immutable once sent.  The envelope memoises its encoded bare (untraced)
+form the first time the codec encodes it: :meth:`Message.size_bytes` and the
+frames a transport writes then share one encode, and telemetry-enabled runs
+never re-walk a body dictionary twice.  On the asyncio backend, objects inside
+a received body are shared too: each transport decodes a given object record
+once and hands every later frame carrying it the same object.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ class Message:
         "uid",
         "trace_ctx",
         "_size",
+        "_wire",
     )
 
     def __init__(
@@ -72,6 +77,8 @@ class Message:
         self.uid = next(_message_counter) if uid is None else uid
         self.trace_ctx: Optional[Any] = None
         self._size: Optional[int] = None
+        #: The codec's memoised bare envelope bytes (see ``codec.encode_message``).
+        self._wire: Optional[bytes] = None
 
     @property
     def protocol(self) -> str:
@@ -81,6 +88,8 @@ class Message:
     def size_bytes(self) -> int:
         """Memoised exact wire size: the codec's length-prefixed frame length.
 
+        It is measured on the envelope bytes the codec memoises on the
+        message, so a transport that also frames the message encodes it once.
         This is what the asyncio transport writes per recipient for an
         untraced message, so per-protocol byte counters in telemetry/obs mean
         the same thing under the simulator and the real backend.  The optional

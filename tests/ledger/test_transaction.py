@@ -197,3 +197,31 @@ class TestWallet:
 
     def test_auto_named_wallets_differ(self):
         assert Wallet().address != Wallet().address
+
+
+class TestOutputUtxos:
+    def test_ids_and_amounts_follow_outputs(self, funded):
+        alice, bob, _, table = funded
+        tx = build_transfer(alice, table.select_inputs(alice.address, 100), [(bob.address, 100)])
+        created = tx.output_utxos()
+        assert [utxo.utxo_id for utxo in created] == [
+            f"{tx.tx_id}:{index}" for index in range(len(tx.outputs))
+        ]
+        assert [(utxo.account, utxo.amount) for utxo in created] == [
+            (tx_output.account, tx_output.amount) for tx_output in tx.outputs
+        ]
+        assert tx.output_utxo_id(1) == created[1].utxo_id
+        assert tx.output_utxos() is created
+
+    def test_tables_share_outputs_but_not_state(self):
+        alice, bob = Wallet("alice"), Wallet("bob")
+        _, utxos = make_genesis_block([(alice.address, 1000)])
+        first, second = UTXOTable(utxos), UTXOTable(utxos)
+        tx = build_transfer(alice, first.select_inputs(alice.address, 100), [(bob.address, 100)])
+        _, created_first = first.apply_validated(tx)
+        _, created_second = second.apply_validated(tx)
+        assert all(a is b for a, b in zip(created_first, created_second))
+        first.remove(created_first[0].utxo_id)
+        assert first.balance(bob.address) == 0
+        assert second.balance(bob.address) == 100
+        assert second.contains(created_second[0].utxo_id)

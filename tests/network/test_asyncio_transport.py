@@ -8,10 +8,15 @@ without spawning subprocesses.
 
 import asyncio
 import os
+import struct
 
 import pytest
 
+from repro.ledger.workload import TransferWorkload
+from repro.network import codec
 from repro.network.asyncio_transport import AsyncioTransport, Endpoint
+from repro.network.codec import encode_value, frame_message
+from repro.network.message import Message
 from repro.network.transport import Process, Transport
 
 
@@ -219,6 +224,69 @@ class TestAsyncioTransport:
             # Post-close sends are counted as drops, never an exception.
             processes[0].send_to(1, "proto", "LATE", {})
             assert transports[0].messages_dropped >= 1
+
+        asyncio.run(scenario())
+
+    def test_broadcast_encodes_its_envelope_once(self, tmp_path, monkeypatch):
+        envelopes = []
+        real_encode = codec.encode_value
+
+        def counting_encode(value):
+            if type(value) is tuple and len(value) == 5:
+                envelopes.append(value)
+            return real_encode(value)
+
+        monkeypatch.setattr(codec, "encode_value", counting_encode)
+
+        async def scenario():
+            transports, processes = await _boot(_uds_endpoints(tmp_path, 4))
+            transactions = TransferWorkload(num_accounts=4, seed=1).batch(2)
+            message = Message(
+                sender=0, recipient=None, protocol="proto", kind="HELLO",
+                body={"value": transactions},
+            )
+            transports[0].submit_broadcast(message, [1, 2, 3])
+            await asyncio.sleep(0.3)
+            try:
+                assert len(envelopes) == 1
+                # The byte count and the frame share the one encode.
+                assert message.size_bytes() == len(frame_message(message))
+                assert len(envelopes) == 1
+                assert transports[0].bytes_sent == 3 * message.size_bytes()
+                for process in processes[1:]:
+                    assert [g[:2] for g in process.got] == [(0, "HELLO")]
+                    assert process.got[0][2]["value"] == transactions
+            finally:
+                await _close_all(transports)
+
+        asyncio.run(scenario())
+
+    def test_undecodable_frames_are_dropped_and_the_link_survives(self, tmp_path):
+        # A wrong-shaped transaction body and a deeply nested value used to
+        # escape the codec as KeyError/RecursionError and end the reader.
+        bare = encode_value((0, 1, "proto", "BAD", {}))
+        assert bare.endswith(b"D0;")
+        hostile = [
+            bare[:-3] + b"D1;S1;v" + b"O11;transaction3;D0;",
+            bare[:-3] + b"D1;S1;v" + b"L1;" * 5000 + b"N",
+        ]
+
+        async def scenario():
+            endpoints = _uds_endpoints(tmp_path, 2)
+            transports, processes = await _boot(endpoints)
+            _, writer = await asyncio.open_unix_connection(endpoints[1].path)
+            for payload in hostile:
+                writer.write(struct.pack(">I", len(payload)) + payload)
+            after = Message(sender=0, recipient=1, protocol="proto", kind="AFTER")
+            writer.write(frame_message(after))
+            await writer.drain()
+            await asyncio.sleep(0.2)
+            try:
+                assert transports[1].messages_dropped == 2
+                assert [g[:2] for g in processes[1].got] == [(0, "AFTER")]
+            finally:
+                writer.close()
+                await _close_all(transports)
 
         asyncio.run(scenario())
 

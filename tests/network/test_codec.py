@@ -7,6 +7,7 @@ and decoded signed content must still verify against the same PKI.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.consensus.certificates import (
     Certificate,
@@ -23,9 +24,11 @@ from repro.crypto.signatures import SignedPayload
 from repro.ledger.block import Block, make_genesis_block
 from repro.ledger.transaction import TxInput, TxOutput
 from repro.ledger.workload import TransferWorkload
+from repro.network import codec
 from repro.network.codec import (
     FRAME_HEADER_SIZE,
     CodecError,
+    DecodeCache,
     decode_message,
     decode_value,
     encode_message,
@@ -337,3 +340,219 @@ class TestMessageEnvelopes:
         )
         decoded = decode_message(encode_message(message))
         assert decoded.body == message.body
+
+
+# -- object records, the decode cache and hostile frames ---------------------
+
+
+def _one_of_each_kind():
+    """A sample instance of every registered wire kind, keyed by wire name."""
+    keys, hosts = _provisioned_hosts([0, 1, 2])
+    votes = tuple(
+        make_vote(hosts[r], "ctx", 0, VoteKind.DECIDE, "digest-xyz") for r in (0, 1, 2)
+    )
+    workload = TransferWorkload(num_accounts=4, seed=11)
+    transactions = tuple(workload.batch(2))
+    genesis, _ = make_genesis_block([("alice", 100)])
+    return {
+        "signed-payload": hosts[0].sign({"x": 1}),
+        "signed-vote": votes[0],
+        "certificate": Certificate(
+            context="ctx", round=0, kind=VoteKind.DECIDE,
+            value_digest="digest-xyz", votes=votes,
+        ),
+        "proof-of-fraud": ProofOfFraud(
+            culprit=2,
+            first=make_vote(hosts[2], "ctx", 1, VoteKind.AUX, hash_payload(0)),
+            second=make_vote(hosts[2], "ctx", 1, VoteKind.AUX, hash_payload(1)),
+        ),
+        "tx-input": TxInput(utxo_id="u-1", account="alice", amount=7),
+        "tx-output": TxOutput(account="bob", amount=7),
+        "transaction": transactions[0],
+        "block": Block(
+            index=1, parent_hash=genesis.block_hash, transactions=transactions,
+            proposers=(0,), timestamp=0.5,
+        ),
+    }
+
+
+def _protocol_frames():
+    """Encoded envelopes shaped like INIT, ECHO and CONFIRM traffic."""
+    samples = _one_of_each_kind()
+    proposal = list(TransferWorkload(num_accounts=4, seed=12).batch(3))
+    bodies = [
+        ("INIT", {"value": proposal, "digest": hash_payload(proposal)}),
+        ("ECHO", {"digest": "d" * 64, "vote": samples["signed-vote"].to_payload()}),
+        ("CONFIRM", {"instance": 3, "certificates": {0: samples["certificate"]},
+                     "pofs": [samples["proof-of-fraud"]], "block": samples["block"]}),
+    ]
+    return [
+        encode_message(
+            Message(sender=1, recipient=None, protocol=Topic.of("sbc", 0, 3, "rbc", 1),
+                    kind=kind, body=body)
+        )
+        for kind, body in bodies
+    ]
+
+
+class TestObjectRecords:
+    def test_record_declares_name_and_payload_lengths(self):
+        record = encode_value(TxOutput(account="bob", amount=7))
+        payload = encode_value({"account": "bob", "amount": 7})
+        assert record == b"O9;tx-output%d;" % len(payload) + payload
+
+    def test_every_registered_kind_reencodes_to_its_record(self):
+        samples = _one_of_each_kind()
+        assert sorted(samples) == registered_kinds()
+        for kind, value in samples.items():
+            record = encode_value(value)
+            assert encode_value(decode_value(record)) == record, kind
+            # The same holds for the cached object, which re-encodes from
+            # the memoised record instead of walking its payload again.
+            cached = decode_value(record, DecodeCache())
+            assert encode_value(cached) == record, kind
+            assert cached == value, kind
+
+    def test_declared_length_mismatch_raises(self):
+        payload = encode_value({"account": "bob", "amount": 7})
+        short = b"O9;tx-output%d;" % (len(payload) - 1) + payload
+        long = b"O9;tx-output%d;" % (len(payload) + 1) + payload + b"N"
+        for data in (short, long, b"L1;" + short, b"P1;" + long):
+            with pytest.raises(CodecError):
+                decode_value(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"O11;transaction3;D0;",  # a transaction body of the wrong shape
+            b"O9;tx-output3;L0;",  # a payload that is not a dict
+            b"L1;" * 5000 + b"N",  # nesting far past any protocol body
+            b"D1;L0;N",  # an unhashable dict key
+            b"S-1;",  # a negative length
+            b"S2;\xff\xfe",  # bad UTF-8
+            b"O3;foo1;N",  # an unknown kind
+            b"I99999999999999999999" + b"9" * 5000 + b";",  # an absurd integer
+        ],
+    )
+    def test_hostile_values_raise_codec_error(self, data):
+        with pytest.raises(CodecError):
+            decode_value(data)
+
+    def test_hostile_envelopes_raise_codec_error(self):
+        for fields in [
+            ([], None, "t", "K", {}),  # unhashable sender
+            (0, None, 7, "K", {}),  # topic is not a string
+            (0, None, "t", "K", []),  # body is not a dict
+            (0, None, "t:\u00b2", "K", {}),  # a digit int() refuses
+            (0, None, "t", "K", {}, (1,)),  # a malformed trace context
+        ]:
+            with pytest.raises(CodecError):
+                decode_message(encode_value(fields))
+
+
+class TestDecodeCache:
+    def test_repeated_record_decodes_to_the_identical_object(self):
+        cache = DecodeCache()
+        transactions = TransferWorkload(num_accounts=4, seed=4).batch(3)
+        frame = encode_value({"value": transactions})
+        first = decode_value(frame, cache)["value"]
+        second = decode_value(frame, cache)["value"]
+        assert first is not second  # containers are fresh per frame
+        assert all(a is b for a, b in zip(first, second))
+        assert len(cache) == 3
+        # Without a cache every decode builds new objects.
+        assert decode_value(frame)["value"][0] is not first[0]
+
+    def test_memos_survive_on_the_shared_object(self):
+        cache = DecodeCache()
+        record = encode_value(TransferWorkload(num_accounts=4, seed=6).batch(1)[0])
+        first = decode_value(record, cache)
+        tx_id = first.tx_id
+        assert first.is_valid_cached()
+        again = decode_value(record, cache)
+        assert again is first and again._tx_id == tx_id
+        assert again._valid_cache is not None
+
+    def test_records_differing_by_one_byte_never_share_an_object(self):
+        cache = DecodeCache()
+        record = encode_value(TransferWorkload(num_accounts=4, seed=8).batch(1)[0])
+        original = decode_value(record, cache)
+        shared = 0
+        for index in range(len(record)):
+            mutated = bytearray(record)
+            mutated[index] = (mutated[index] + 1) % 256
+            try:
+                value = decode_value(bytes(mutated), cache)
+            except CodecError:
+                continue
+            shared += value is original
+        assert shared == 0
+        assert decode_value(record, cache) is original
+
+    def test_cache_stays_within_its_bounds(self, monkeypatch):
+        monkeypatch.setattr(codec, "DECODE_CACHE_ENTRIES", 8)
+        monkeypatch.setattr(codec, "DECODE_CACHE_BYTES", 4096)
+        records_before = len(codec._RECORDS)
+        cache = DecodeCache()
+        for index in range(200):
+            account = "a" * (index % 7) * 100
+            record = encode_value(TxOutput(account=account, amount=index + 1))
+            decode_value(record, cache)
+            assert len(cache) <= 8
+            assert cache.size <= 4096
+            assert cache.size == sum(len(key) for key in cache._objects)
+        # Evicted objects leave the encode memo with their cache entry.
+        assert len(codec._RECORDS) - records_before <= 8
+        cache.clear()
+        assert len(cache) == 0 and cache.size == 0
+        assert len(codec._RECORDS) == records_before
+
+    def test_record_larger_than_the_cache_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(codec, "DECODE_CACHE_BYTES", 64)
+        cache = DecodeCache()
+        record = encode_value(TxOutput(account="x" * 100, amount=1))
+        assert decode_value(record, cache) is not decode_value(record, cache)
+        assert len(cache) == 0
+
+    def test_nested_records_are_decoded_with_their_parent(self):
+        cache = DecodeCache()
+        transaction = TransferWorkload(num_accounts=4, seed=9).batch(1)[0]
+        decode_value(encode_value(transaction), cache)
+        assert len(cache) == 1  # the inputs/outputs inside are not cached apart
+
+
+class TestHostileFrames:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frame_index=st.integers(min_value=0, max_value=2),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["flip", "insert", "delete", "truncate"]),
+                st.integers(min_value=0, max_value=1 << 20),
+                st.integers(min_value=0, max_value=255),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_mutated_frames_raise_only_codec_error(self, frame_index, edits):
+        data = bytearray(_FRAMES[frame_index])
+        for op, where, byte in edits:
+            where %= len(data) + 1
+            if op == "flip" and where < len(data):
+                data[where] = byte
+            elif op == "insert":
+                data.insert(where, byte)
+            elif op == "delete" and where < len(data):
+                del data[where]
+            elif op == "truncate":
+                del data[where:]
+        try:
+            message = decode_message(bytes(data), _FUZZ_CACHE)
+        except CodecError:
+            return
+        assert isinstance(message, Message)
+
+
+_FRAMES = _protocol_frames()
+_FUZZ_CACHE = DecodeCache()
